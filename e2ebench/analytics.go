@@ -181,7 +181,7 @@ func runAnalytics(c config) (*outcome, error) {
 	o.attempted, o.failed = len(ph.all)+ph.failed, ph.failed
 	if !c.trace {
 		o.set("setup_s", "s", median(setups))
-		o.setReads(ph.all, ph.elapsed, "analytics")
+		o.setReads(ph.all, kindsP50(ph.lat), ph.elapsed, "analytics")
 		o.set("success_rate", "fraction", ratio(float64(o.attempted-o.failed), float64(o.attempted)))
 		rss, err := peakRSSMiB("self")
 		if err != nil {
@@ -200,7 +200,7 @@ func runAnalytics(c config) (*outcome, error) {
 	o.setGo(g0, readGoCounters(), len(tph.all))
 	o.attempted += len(tph.all) + tph.failed
 	o.failed += tph.failed
-	o.overhead(ph.all, tph.all)
+	o.overhead(kindsP50(ph.lat), kindsP50(tph.lat))
 
 	n := float64(len(tph.all))
 	o.set("core.search_ms", "ms", median(tr.durations("core.search")))

@@ -51,6 +51,19 @@ func TestTailFallsBackWhenTooFewBeyond(t *testing.T) {
 	}
 }
 
+func TestKindsP50(t *testing.T) {
+	// Two cheap kinds and one costly one: the median of all samples is
+	// the middle kind's alone, the per-kind form weighs all three.
+	byKind := [][]float64{{3, 1, 2}, {8, 4, 9}, {100, 200, 300}}
+	if got, want := kindsP50(byKind), math.Cbrt(2*8*200); math.Abs(got-want) > 1e-9 {
+		t.Errorf("kindsP50 = %g, want %g", got, want)
+	}
+	// A kind with no samples is left out, not counted as 0.
+	if got := kindsP50([][]float64{{4}, nil, {16}}); math.Abs(got-8) > 1e-9 {
+		t.Errorf("kindsP50 with an empty kind = %g, want 8", got)
+	}
+}
+
 func TestSelfTimeNestedSpans(t *testing.T) {
 	spans := []span{
 		{Name: "bench.op", Start: 0, End: 100e6, Parent: -1},

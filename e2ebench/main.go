@@ -4,7 +4,7 @@
 // or a wcojd daemon over loopback HTTP (serve) — checks every answer,
 // and prints the metrics as the last line of standard output:
 //
-//	bash e2ebench/run.sh --workload serve --seed 7 --seconds 20 --trace 0
+//	bash e2ebench/run.sh --workload serve --seed 7 --seconds 30 --trace 0
 //
 // With --trace 0 it prints the end-to-end metrics. With --trace 1 it
 // makes a traced run instead: half the time untraced, half with spans
@@ -40,7 +40,7 @@ type config struct {
 
 // setupRepeats is how many times a run sets up its workload; setup_s
 // is the median.
-const setupRepeats = 7
+const setupRepeats = 11
 
 type metric struct {
 	Value float64 `json:"value"`
@@ -277,10 +277,11 @@ func (o *outcome) setGo(before, after goCounters, ops int) {
 // beyond it ingest's p99 moved 23% between seeds where its p90 moved 4%.
 const readTailP = 90
 
-// setReads reports the read-side end-to-end metrics of one timed phase.
-func (o *outcome) setReads(lat []float64, elapsed time.Duration, label string) {
+// setReads reports the read-side end-to-end metrics of one timed phase;
+// p50 is its read_p50_ms.
+func (o *outcome) setReads(lat []float64, p50 float64, elapsed time.Duration, label string) {
 	o.set("read_qps", "ops/s", float64(len(lat))/elapsed.Seconds())
-	o.set("read_p50_ms", "ms", median(lat))
+	o.set("read_p50_ms", "ms", p50)
 	v, p, beyond := tail(lat, readTailP)
 	o.set("read_tail_ms", "ms", v)
 	hp, hb, _ := tailPercentile(len(lat))
@@ -305,9 +306,8 @@ func splitPhase(c config) (untraced, traced time.Duration) {
 	return d / 2, d / 2
 }
 
-// overhead reports trace.overhead_frac from the read p50 of the
+// overhead reports trace.overhead_frac from the read_p50_ms of the
 // untraced and the traced half.
-func (o *outcome) overhead(untraced, traced []float64) {
-	u := median(untraced)
-	o.set("trace.overhead_frac", "fraction", ratio(median(traced)-u, u))
+func (o *outcome) overhead(untraced, traced float64) {
+	o.set("trace.overhead_frac", "fraction", ratio(traced-untraced, untraced))
 }

@@ -468,7 +468,7 @@ func driveServe(c config, d *daemon, e *wcoj.Relation, load *serveLoad) (*outcom
 	o.attempted += len(ph.lat) + ph.failed
 	o.failed += ph.failed
 	if !c.trace {
-		o.setReads(ph.lat, ph.elapsed, "serve")
+		o.setReads(ph.lat, median(ph.lat), ph.elapsed, "serve")
 		o.set("success_rate", "fraction", ratio(float64(o.attempted-o.failed), float64(o.attempted)))
 		rss, err := peakRSSMiB(strconv.Itoa(d.cmd.Process.Pid))
 		if err != nil {
@@ -495,7 +495,7 @@ func driveServe(c config, d *daemon, e *wcoj.Relation, load *serveLoad) (*outcom
 	}
 	o.attempted += len(tph.lat) + tph.failed
 	o.failed += tph.failed
-	o.overhead(ph.lat, tph.lat)
+	o.overhead(median(ph.lat), median(tph.lat))
 	o.set("wcojd.engine_ms", "ms", median(tph.engine))
 	o.set("wcojd.overhead_ms", "ms", median(tph.overhead))
 	o.set("wcojd.response_bytes", "bytes", tr.total("wcojd.response_bytes")/float64(len(tph.lat)))

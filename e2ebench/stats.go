@@ -34,6 +34,22 @@ func rank(p float64, n int) int {
 
 func median(xs []float64) float64 { return percentile(xs, 50) }
 
+// kindsP50 is read_p50_ms of a workload whose reads come in a few kinds
+// of very different cost: the geometric mean over the kinds of each
+// kind's median latency. The median of all samples together reads only
+// what sits in the middle of the mix. On analytics that is the gap
+// between its sixth and seventh of twelve latency clusters, spanning
+// 0.1 to 150 ms, and there it moved by 20-40% of itself between runs of
+// the same code. On ingest it is the 100-row read alone, the one of its
+// three kinds that moves most from run to run.
+func kindsP50(byKind [][]float64) float64 {
+	meds := make([]float64, len(byKind))
+	for i, lat := range byKind {
+		meds[i] = median(lat)
+	}
+	return geomean(meds)
+}
+
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
