@@ -418,13 +418,19 @@ func BenchmarkVariableOrder(b *testing.B) {
 // both Generic-Join and LFTJ Count (the streaming mode, so the
 // measurement is pure search, no materialization). p=1 is the serial
 // baseline; on a machine with GOMAXPROCS >= 4 the p=GOMAXPROCS rows
-// should show >= 1.5x speedup on the triangle workload. Run with
+// should show >= 1.5x speedup on the triangle workload. The
+// -powerlaw rows run the triangle and 4-clique on a Zipf graph whose
+// adjacent hubs carry most of the work: they gate the equal-work
+// morsels of Plan.TopMorsels, which equal-count chunking would lose
+// to one worker drawing every hub. Run with
 //
 //	go test -bench BenchmarkParallelEngine -benchtime 3x .
 func BenchmarkParallelEngine(b *testing.B) {
 	workers := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	db := NewDatabase()
 	db.Put(dataset.RandomGraph(3000, 40000, 7))
+	pl := NewDatabase()
+	pl.Put(dataset.PowerLawGraph(20000, 100000, 1.3, 7))
 	workloads := []struct {
 		name string
 		q    *core.Query
@@ -432,6 +438,8 @@ func BenchmarkParallelEngine(b *testing.B) {
 		{"triangle", benchTriangleQuery(b, dataset.TriangleAGMTight(30000))},
 		{"clique4", benchParse(b, db, "Q(A,B,C,D) :- E(A,B), E(A,C), E(A,D), E(B,C), E(B,D), E(C,D)")},
 		{"path4", benchParse(b, db, "Q(A,B,C,D) :- E(A,B), E(B,C), E(C,D)")},
+		{"triangle-powerlaw", benchParse(b, pl, "Q(A,B,C) :- E(A,B), E(B,C), E(A,C)")},
+		{"clique4-powerlaw", benchParse(b, pl, "Q(A,B,C,D) :- E(A,B), E(A,C), E(A,D), E(B,C), E(B,D), E(C,D)")},
 	}
 	for _, wl := range workloads {
 		// Fix the variable order so every worker count searches the

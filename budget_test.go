@@ -14,13 +14,26 @@ import (
 // execution mode off with ErrNodeBudget, and a generous one must not
 // disturb the result.
 func TestNodeBudget(t *testing.T) {
+	nodeBudgetSuite(t, dataset.RandomGraph(60, 800, 3), []int{1, 4})
+}
+
+// TestNodeBudgetPowerLaw runs the same checks on a power-law graph,
+// whose adjacent hubs get morsels of their own at every p > 1.
+func TestNodeBudgetPowerLaw(t *testing.T) {
+	nodeBudgetSuite(t, dataset.PowerLawGraph(2000, 8000, 1.3, 5), []int{1, 2, 4})
+}
+
+// nodeBudgetSuite prepares the triangle over edge relation e and runs
+// every execution mode under tiny and generous budgets, for both WCOJ
+// engines at each parallelism.
+func nodeBudgetSuite(t *testing.T, e *Relation, pars []int) {
 	db := NewDB()
-	if err := db.Register(dataset.RandomGraph(60, 800, 3)); err != nil {
+	if err := db.Register(e); err != nil {
 		t.Fatal(err)
 	}
 	src := "Q(A,B,C) :- E(A,B), E(B,C), E(A,C)"
 	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-		for _, par := range []int{1, 4} {
+		for _, par := range pars {
 			t.Run(fmt.Sprintf("%v/par=%d", algo, par), func(t *testing.T) {
 				pq, err := db.Prepare(src, Options{Algorithm: algo, Parallelism: par})
 				if err != nil {
@@ -90,5 +103,42 @@ func TestNodeBudgetProjection(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestNodeBudgetLFTJTail: a leapfrog count whose work is all in the
+// counting tail — one A value, then a 100k-value B intersection the
+// kernel counts without recursing — must still be cut off by a tiny
+// budget: the tail charges its matches.
+func TestNodeBudgetLFTJTail(t *testing.T) {
+	db := NewDB()
+	for _, name := range []string{"R", "S"} {
+		b := NewRelationBuilder(name, "a", "b")
+		for i := 0; i < 100000; i++ {
+			if err := b.Add(Value(1), Value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Register(b.Build()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			pq, err := db.Prepare("Q(A,B) :- R(A,B), S(A,B)", Options{Algorithm: AlgoLeapfrog, Parallelism: par, Order: []string{"A", "B"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := pq.Count(WithNodeBudget(context.Background(), 1000)); !errors.Is(err, ErrNodeBudget) {
+				t.Fatalf("tail count under tiny budget: err=%v, want ErrNodeBudget", err)
+			}
+			if _, _, err := pq.Exists(WithNodeBudget(context.Background(), 1000)); err != nil {
+				t.Fatalf("exists under tiny budget: %v", err)
+			}
+			n, _, err := pq.Count(WithNodeBudget(context.Background(), 1<<20))
+			if err != nil || n != 100000 {
+				t.Fatalf("tail count under big budget: n=%d err=%v, want 100000", n, err)
+			}
+		})
 	}
 }

@@ -195,11 +195,11 @@ func gjCountFast(ctx context.Context, p *Plan, cls *agg.Classification, parallel
 		}
 		return n, nil
 	}
-	vals := p.TopValues(nil)
+	vals, starts := p.TopMorsels(parallelism)
 	stats.Recursions++
 	stats.IntersectValues += len(vals)
 	budget := BudgetFrom(ctx)
-	total, err := RunShardedSum(ctx, vals, parallelism, stats, func(chunk []relation.Value, st *Stats, stop *atomic.Bool) (int64, error) {
+	total, err := RunShardedSum(ctx, vals, starts, parallelism, stats, func(chunk []relation.Value, st *Stats, stop *atomic.Bool) (int64, error) {
 		if !budget.Spend(int64(len(chunk))) {
 			return 0, ErrNodeBudget
 		}
@@ -249,11 +249,11 @@ func gjExists(ctx context.Context, p *Plan, cls *agg.Classification, parallelism
 		}
 		return found, nil
 	}
-	vals := p.TopValues(nil)
+	vals, starts := p.TopMorsels(parallelism)
 	stats.Recursions++
 	stats.IntersectValues += len(vals)
 	budget := BudgetFrom(ctx)
-	return RunShardedAny(ctx, vals, parallelism, stats, func(chunk []relation.Value, st *Stats, stop *atomic.Bool) (bool, error) {
+	return RunShardedAny(ctx, vals, starts, parallelism, stats, func(chunk []relation.Value, st *Stats, stop *atomic.Bool) (bool, error) {
 		if !budget.Spend(int64(len(chunk))) {
 			return false, ErrNodeBudget
 		}
@@ -293,11 +293,11 @@ func gjProjectVisit(ctx context.Context, p *Plan, cls *agg.Classification, paral
 		}
 		return CtxAbortErr(ctx, err)
 	}
-	vals := p.TopValues(nil)
+	vals, starts := p.TopMorsels(parallelism)
 	stats.Recursions++
 	stats.IntersectValues += len(vals)
 	budget := BudgetFrom(ctx)
-	return RunShardedTop(ctx, vals, parallelism, len(cls.Spec.Project), stats, emit,
+	return RunShardedTop(ctx, vals, starts, parallelism, len(cls.Spec.Project), stats, emit,
 		func(chunk []relation.Value, st *Stats, stop *atomic.Bool, chunkEmit func(relation.Tuple) error) error {
 			if !budget.Spend(int64(len(chunk))) {
 				return ErrNodeBudget

@@ -94,10 +94,10 @@ func GenericJoinPlanCount(ctx context.Context, p *Plan, parallelism int) (int, *
 		w.budget = BudgetFrom(ctx)
 		err = CtxAbortErr(ctx, w.rec(0))
 	} else {
-		vals := p.TopValues(nil)
+		vals, starts := p.TopMorsels(parallelism)
 		stats.Recursions++
 		stats.IntersectValues += len(vals)
-		n, err = RunShardedCount(ctx, vals, parallelism, stats, gjShardRun(p, BudgetFrom(ctx)))
+		n, err = RunShardedCount(ctx, vals, starts, parallelism, stats, gjShardRun(p, BudgetFrom(ctx)))
 	}
 	if err != nil {
 		return 0, nil, err
@@ -134,11 +134,11 @@ func GenericJoinPlanVisit(ctx context.Context, p *Plan, parallelism int, stats *
 		w.budget = BudgetFrom(ctx)
 		return CtxAbortErr(ctx, w.rec(0))
 	}
-	vals := p.TopValues(nil)
+	vals, starts := p.TopMorsels(parallelism)
 	// Account for the root node exactly as the serial search does.
 	stats.Recursions++
 	stats.IntersectValues += len(vals)
-	return RunShardedTop(ctx, vals, parallelism, len(p.Q.Vars), stats, emit, gjShardRun(p, BudgetFrom(ctx)))
+	return RunShardedTop(ctx, vals, starts, parallelism, len(p.Q.Vars), stats, emit, gjShardRun(p, BudgetFrom(ctx)))
 }
 
 // gjShardRun adapts the Generic-Join search to the sharded runner:

@@ -4,17 +4,19 @@ package core
 // (via this package's exported runner) parallelize the same way: the
 // depth-0 intersection — the distinct values of the first variable in
 // the global order that appear in every participating atom — is
-// computed once, partitioned into contiguous chunks, and each chunk is
-// searched by the existing serial recursion with fully private state
-// (range stacks / iterators, binding tuple, Stats). Workers share only
-// the immutable tries. Chunk results are consumed in ascending chunk
-// index order, and because chunks are contiguous ranges of the sorted
-// top-level values, the emitted tuple sequence is byte-identical to
-// the serial run at any worker count.
+// computed once and cut into contiguous equal-work morsels
+// (Plan.TopMorsels), and each morsel is searched by the existing
+// serial recursion with fully private state (range stacks /
+// iterators, binding tuple, Stats). Workers share only the immutable
+// tries. Morsel results are consumed in ascending morsel index order,
+// and because morsels are contiguous ranges of the sorted top-level
+// values, the emitted tuple sequence is byte-identical to the serial
+// run at any worker count.
 
 import (
 	"context"
 	"errors"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -22,8 +24,9 @@ import (
 )
 
 // shardChunkFactor oversplits the top-level values relative to the
-// worker count so a skewed value (one heavy subtree) cannot serialize
-// the run: idle workers steal the remaining chunks.
+// worker count: a run is cut into about workers*shardChunkFactor
+// morsels of equal work, so a worker that drew a slow morsel is
+// covered by its siblings draining the rest.
 const shardChunkFactor = 4
 
 // ErrAborted is injected through a chunk's emit path (and returned by
@@ -91,29 +94,28 @@ type shardSink interface {
 	finishChunk(chunk int) error
 }
 
-// runSharded partitions vals into contiguous chunks and runs run over
-// them on min(workers, chunks) goroutines. Per-chunk Stats are merged
+// runSharded runs run over the morsels (chunks) of vals — chunk c is
+// vals[starts[c]:starts[c+1]], see Plan.TopMorsels — on
+// min(workers, chunks) goroutines. Per-chunk Stats are merged
 // into parentStats in chunk order; the first error (from a chunk or
 // from the sink) aborts the remaining work — queued chunks are
 // skipped, and in-flight chunks are unwound at their next emitted
 // tuple via ErrAborted. Chunk issue is windowed: a chunk is only
-// handed to a worker once all chunks more than shardWindow(workers)
-// positions behind it have been consumed by the sink, bounding how
+// handed to a worker once all chunks more than workers+2 positions
+// behind it have been consumed by the sink, bounding how
 // much un-consumed output the ordered sinks can buffer. It returns
 // only after all worker goroutines have exited, so the caller may
 // reuse any state afterwards.
-func runSharded(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats, run shardRun, sink shardSink) error {
+func runSharded(ctx context.Context, vals []relation.Value, starts []int, workers int, parentStats *Stats, run shardRun, sink shardSink) error {
 	if err := CtxErr(ctx); err != nil {
 		return err
 	}
 	var abort atomic.Bool
-	n := len(vals)
-	if n == 0 {
-		sink.bind(0, &abort)
+	numChunks, workers := morselCount(starts, workers)
+	sink.bind(numChunks, &abort)
+	if numChunks == 0 {
 		return nil
 	}
-	starts, numChunks, workers := shardStarts(n, workers)
-	sink.bind(numChunks, &abort)
 
 	chunkStats := make([]Stats, numChunks)
 	chunkErrs := make([]error, numChunks)
@@ -264,63 +266,99 @@ func (s *countSink) finishChunk(chunk int) error {
 }
 
 // RunShardedTop is the sharding seam exported for sibling algorithm
-// packages (lftj): it shards vals across workers, invoking run per
-// chunk with a private Stats, and streams the buffered per-chunk
-// tuples to emit in chunk order. Arity is the emitted tuple width.
-func RunShardedTop(ctx context.Context, vals []relation.Value, workers, arity int, parentStats *Stats,
+// packages (lftj): it runs run over the morsels of vals (starts as
+// returned by Plan.TopMorsels) on up to workers goroutines, each
+// morsel with a private Stats, and streams the buffered per-morsel
+// tuples to emit in morsel order. Arity is the emitted tuple width.
+func RunShardedTop(ctx context.Context, vals []relation.Value, starts []int, workers, arity int, parentStats *Stats,
 	emit func(relation.Tuple) error, run shardRun) error {
-	return runSharded(ctx, vals, workers, parentStats, run, newBufferSink(arity, emit))
+	return runSharded(ctx, vals, starts, workers, parentStats, run, newBufferSink(arity, emit))
 }
 
 // RunShardedCount is RunShardedTop's counting twin: no tuple is
-// buffered; per-chunk counts are summed in chunk order.
-func RunShardedCount(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats,
+// buffered; per-morsel counts are summed in morsel order.
+func RunShardedCount(ctx context.Context, vals []relation.Value, starts []int, workers int, parentStats *Stats,
 	run shardRun) (int, error) {
 	sink := newCountSink()
-	if err := runSharded(ctx, vals, workers, parentStats, run, sink); err != nil {
+	if err := runSharded(ctx, vals, starts, workers, parentStats, run, sink); err != nil {
 		return 0, err
 	}
 	return sink.total, nil
 }
 
-// shardStarts computes the balanced contiguous partition of n values
-// into chunks: chunk i covers [starts[i], starts[i+1]). It also
-// clamps the chunk and worker counts, returning the adjusted pair.
-func shardStarts(n, workers int) (starts []int, numChunks, w int) {
-	numChunks = workers * shardChunkFactor
-	if numChunks > n {
-		numChunks = n
-	}
-	if workers > numChunks {
-		workers = numChunks
-	}
-	starts = make([]int, numChunks+1)
-	base, rem := n/numChunks, n%numChunks
-	for i := 0; i < numChunks; i++ {
-		starts[i+1] = starts[i] + base
-		if i < rem {
-			starts[i+1]++
-		}
-	}
-	return starts, numChunks, workers
+// morselCount returns the number of morsels starts describes and the
+// worker count clamped to it.
+func morselCount(starts []int, workers int) (numChunks, w int) {
+	numChunks = max(len(starts)-1, 0)
+	return numChunks, min(workers, numChunks)
 }
 
-// RunShardedSum shards vals across workers and sums the per-chunk
-// int64 results of run. Unlike the tuple-emitting runners no output
+// TopMorsels computes the depth-0 intersection (TopValues) and cuts it
+// into contiguous, ascending morsels of roughly equal work for a run
+// on workers goroutines: morsel c is vals[starts[c]:starts[c+1]], and
+// starts runs from 0 to len(vals).
+//
+// Work is weighed by rows of the largest depth-0 participant. With
+// m = min(workers*shardChunkFactor, len(vals)), a cut sits at each of
+// the m-1 equal-row quantiles of that trie's level-0 row offsets,
+// located by two binary searches: row → segment, segment key → index
+// in vals. A value holding more than rows/m rows (a hub of a skewed
+// input) is cut out into a morsel of its own, so a power-law graph's
+// adjacent hubs no longer land in one chunk and serialize the run.
+// Equal-count cuts at every len(vals)/m values are merged in too, so a
+// depth-0 intersection that keeps only a sliver of the weighing
+// trie's rows still spreads over all workers. Beyond TopValues the
+// cuts cost O(m log n); nothing is cached on the plan.
+func (p *Plan) TopMorsels(workers int) (vals []relation.Value, starts []int) {
+	vals = p.TopValues(nil)
+	n := len(vals)
+	if n == 0 {
+		return vals, []int{0}
+	}
+	m := min(max(workers, 1)*shardChunkFactor, n)
+	tr := p.Tries[p.Participants[0][0]]
+	for _, ai := range p.Participants[0][1:] {
+		if p.Tries[ai].Len() > tr.Len() {
+			tr = p.Tries[ai]
+		}
+	}
+	rows := tr.Len()
+	cuts := make([]int, 0, 3*m)
+	for j := 1; j < m; j++ {
+		cuts = append(cuts, j*n/m)
+		s := tr.SegAtRow(0, j*rows/m)
+		v := tr.SegKey(0, s)
+		i := sort.Search(n, func(i int) bool { return vals[i] >= v })
+		cuts = append(cuts, i)
+		if lo, hi := tr.SegRows(0, s); (hi-lo)*m > rows && i < n && vals[i] == v {
+			cuts = append(cuts, i+1)
+		}
+	}
+	sort.Ints(cuts)
+	starts = make([]int, 1, len(cuts)+2)
+	for _, c := range cuts {
+		if c > starts[len(starts)-1] && c < n {
+			starts = append(starts, c)
+		}
+	}
+	return vals, append(starts, n)
+}
+
+// RunShardedSum runs run over the morsels of vals (starts as returned
+// by Plan.TopMorsels) and sums the per-morsel int64 results. Unlike the tuple-emitting runners no output
 // ordering is needed, so chunks are claimed from an atomic counter;
 // per-chunk Stats are still merged in chunk order, keeping counter
 // totals deterministic for a fixed worker count. The aggregate-aware
 // engines use it for sharded CountFast.
-func RunShardedSum(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats,
+func RunShardedSum(ctx context.Context, vals []relation.Value, starts []int, workers int, parentStats *Stats,
 	run func(chunk []relation.Value, st *Stats, stop *atomic.Bool) (int64, error)) (int64, error) {
 	if err := CtxErr(ctx); err != nil {
 		return 0, err
 	}
-	n := len(vals)
-	if n == 0 {
+	numChunks, w := morselCount(starts, workers)
+	if numChunks == 0 {
 		return 0, nil
 	}
-	starts, numChunks, w := shardStarts(n, workers)
 	chunkStats := make([]Stats, numChunks)
 	sums := make([]int64, numChunks)
 	errs := make([]error, numChunks)
@@ -369,23 +407,22 @@ func RunShardedSum(ctx context.Context, vals []relation.Value, workers int, pare
 	return total, nil
 }
 
-// RunShardedAny shards vals across workers and reports whether any
-// chunk found a witness. The shared stop flag is set as soon as one
+// RunShardedAny runs run over the morsels of vals (starts as returned
+// by Plan.TopMorsels) and reports whether any morsel found a witness. The shared stop flag is set as soon as one
 // does (or a chunk errors); chunk searches are expected to poll it and
 // unwind, so the whole fleet short-circuits on the first witness.
 // Stats are merged from every chunk that ran; because chunks race the
 // stop flag, counter totals (unlike the boolean result) are not
 // deterministic across runs.
-func RunShardedAny(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats,
+func RunShardedAny(ctx context.Context, vals []relation.Value, starts []int, workers int, parentStats *Stats,
 	run func(chunk []relation.Value, st *Stats, stop *atomic.Bool) (bool, error)) (bool, error) {
 	if err := CtxErr(ctx); err != nil {
 		return false, err
 	}
-	n := len(vals)
-	if n == 0 {
+	numChunks, w := morselCount(starts, workers)
+	if numChunks == 0 {
 		return false, nil
 	}
-	starts, numChunks, w := shardStarts(n, workers)
 	chunkStats := make([]Stats, numChunks)
 	errs := make([]error, numChunks)
 	var stop atomic.Bool

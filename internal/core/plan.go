@@ -218,12 +218,16 @@ func RefreshPlan(p *Plan, q *Query, src TrieSource) (*Plan, error) {
 // TopValues computes the depth-0 intersection — the sorted distinct
 // values of Order[0] common to every participating atom — which the
 // parallel engine shards across workers. The result is appended to
-// dst.
+// dst; a nil dst is allocated once, at the smallest participant's size
+// (the intersection's upper bound).
 func (p *Plan) TopValues(dst []relation.Value) []relation.Value {
 	ranges := make([]trie.LevelRange, 0, len(p.Participants[0]))
 	for _, ai := range p.Participants[0] {
 		tr := p.Tries[ai]
 		ranges = append(ranges, tr.SegLevel(0, 0, tr.NumSegs(0)))
+	}
+	if dst == nil {
+		dst = make([]relation.Value, 0, ranges[trie.SmallestRange(ranges)].Size())
 	}
 	return trie.IntersectLevels(dst, ranges)
 }

@@ -4,8 +4,9 @@ package lftj
 // core's aggregate Generic-Join. The same agg.Classification drives
 // both engines — free-counted suffix levels multiply the active
 // atoms' current row-range sizes instead of opening iterators, the
-// deepest level of a counting run counts leapfrog matches without
-// recursing, bound levels consult the per-(trie,prefix) memo, and
+// deepest level of a counting or existence run hands the iterators'
+// child ranges to the trie's intersection kernels instead of walking
+// them, bound levels consult the per-(trie,prefix) memo, and
 // EXISTS short-circuits on the first witness (across shards via a
 // shared stop flag). Counts are byte-identical to
 // enumerate-then-aggregate at every parallelism setting.
@@ -13,12 +14,12 @@ package lftj
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"wcoj/internal/agg"
 	"wcoj/internal/core"
 	"wcoj/internal/relation"
+	"wcoj/internal/trie"
 )
 
 // aggPlan resolves the options into a sunk, classified plan shared
@@ -123,10 +124,10 @@ func countFast(ctx context.Context, p *core.Plan, cls *agg.Classification, paral
 		}
 		return n, nil
 	}
-	vals := p.TopValues(nil)
+	vals, starts := p.TopMorsels(parallelism)
 	stats.Recursions++
 	budget := core.BudgetFrom(ctx)
-	total, err := core.RunShardedSum(ctx, vals, parallelism, stats, func(chunk []relation.Value, st *core.Stats, stop *atomic.Bool) (int64, error) {
+	total, err := core.RunShardedSum(ctx, vals, starts, parallelism, stats, func(chunk []relation.Value, st *core.Stats, stop *atomic.Bool) (int64, error) {
 		if !budget.Spend(int64(len(chunk))) {
 			return 0, core.ErrNodeBudget
 		}
@@ -174,10 +175,10 @@ func existsFast(ctx context.Context, p *core.Plan, cls *agg.Classification, para
 		}
 		return found, nil
 	}
-	vals := p.TopValues(nil)
+	vals, starts := p.TopMorsels(parallelism)
 	stats.Recursions++
 	budget := core.BudgetFrom(ctx)
-	return core.RunShardedAny(ctx, vals, parallelism, stats, func(chunk []relation.Value, st *core.Stats, stop *atomic.Bool) (bool, error) {
+	return core.RunShardedAny(ctx, vals, starts, parallelism, stats, func(chunk []relation.Value, st *core.Stats, stop *atomic.Bool) (bool, error) {
 		if !budget.Spend(int64(len(chunk))) {
 			return false, core.ErrNodeBudget
 		}
@@ -214,10 +215,10 @@ func projectVisit(ctx context.Context, p *core.Plan, cls *agg.Classification, pa
 		}
 		return core.CtxAbortErr(ctx, err)
 	}
-	vals := p.TopValues(nil)
+	vals, starts := p.TopMorsels(parallelism)
 	stats.Recursions++
 	budget := core.BudgetFrom(ctx)
-	return core.RunShardedTop(ctx, vals, parallelism, len(cls.Spec.Project), stats, emit,
+	return core.RunShardedTop(ctx, vals, starts, parallelism, len(cls.Spec.Project), stats, emit,
 		func(chunk []relation.Value, st *core.Stats, stop *atomic.Bool, chunkEmit func(relation.Tuple) error) error {
 			if !budget.Spend(int64(len(chunk))) {
 				return core.ErrNodeBudget
@@ -250,6 +251,10 @@ type aggWorker struct {
 	projPos   []int
 	projBuf   relation.Tuple
 	keyRanges []int
+	// ranges is the scratch the kernel tails' level ranges are built
+	// in; tailDebt holds tail matches not yet charged to the budget.
+	ranges   []trie.LevelRange
+	tailDebt int64
 	// aborted records that a stop-flag poll fired inside a counting
 	// search (which has no error path); the entry points translate it.
 	// budgetHit qualifies the abort: the run died of budget exhaustion,
@@ -369,23 +374,27 @@ func (a *aggWorker) count(d int) int64 {
 			return v
 		}
 	}
-	tail := d == n-1
-	if tail {
-		w.stats.AggMultiplies++
-	}
 	var total int64
-	a.leapfrog(d, func() bool {
-		if tail {
-			total++
-		} else {
+	if d == n-1 {
+		// Tail shortcut: each match is one result, so the kernel counts
+		// the participants' child ranges without walking them.
+		w.stats.AggMultiplies++
+		c := trie.IntersectLevelsCount(a.levelRanges(d))
+		w.stats.IntersectValues += c
+		if !a.tailPoll(c) {
+			return 0
+		}
+		total = int64(c)
+	} else {
+		a.leapfrog(d, func() bool {
 			total += a.count(d + 1)
 			if total < 0 { // summation wrapped
 				a.overflow = true
 				total = 0
 			}
-		}
-		return true
-	})
+			return true
+		})
+	}
 	if useMemo && !a.overflow {
 		a.memo.Put(a.memoKey(d), total)
 	}
@@ -421,21 +430,30 @@ func (a *aggWorker) exists(d int) bool {
 			return v != 0
 		}
 	}
-	tail := d == n-1
-	if tail {
-		w.stats.AggMultiplies++
-	}
 	found := false
-	a.leapfrog(d, func() bool {
-		if a.stop != nil && a.stop.Load() {
+	if d == n-1 {
+		w.stats.AggMultiplies++
+		found = trie.IntersectLevelsAny(a.levelRanges(d))
+		c := 0
+		if found {
+			c = 1
+			w.stats.IntersectValues++
+		}
+		if !a.tailPoll(c) {
 			return false
 		}
-		if tail || a.exists(d+1) {
-			found = true
-			return false
-		}
-		return true
-	})
+	} else {
+		a.leapfrog(d, func() bool {
+			if a.stop != nil && a.stop.Load() {
+				return false
+			}
+			if a.exists(d + 1) {
+				found = true
+				return false
+			}
+			return true
+		})
+	}
 	if useMemo && !a.aborted && (a.stop == nil || !a.stop.Load()) {
 		var v int64
 		if found {
@@ -444,6 +462,38 @@ func (a *aggWorker) exists(d int) bool {
 		a.memo.Put(a.memoKey(d), v)
 	}
 	return found
+}
+
+// levelRanges assembles the depth-d participants' child ranges — the
+// level each iterator would open next — into the worker's scratch.
+//
+//wcojlint:retains a.ranges is scratch consumed by the caller's tail intersection, under one pinned snapshot
+func (a *aggWorker) levelRanges(d int) []trie.LevelRange {
+	a.ranges = a.ranges[:0]
+	for _, st := range a.w.participants[d] {
+		a.ranges = append(a.ranges, st.it.ChildLevel())
+	}
+	return a.ranges
+}
+
+// tailPoll polls the stop flag after a kernel tail and charges its c
+// matches to the budget: the kernels have no poll sites, and a tail
+// under a single recursion can hold most of a run's work. Charges
+// collect in tailDebt and are drawn in strides of 256, so small tails
+// cost no atomic add apiece. It reports whether the search may go on.
+func (a *aggWorker) tailPoll(c int) bool {
+	if a.stop != nil && a.stop.Load() {
+		a.aborted = true
+		return false
+	}
+	if a.tailDebt += int64(c); a.tailDebt >= 256 {
+		if !a.budget.Spend(a.tailDebt) {
+			a.aborted, a.budgetHit = true, true
+			return false
+		}
+		a.tailDebt = 0
+	}
+	return true
 }
 
 // visit enumerates the projected prefix, emitting one tuple per prefix
@@ -502,14 +552,14 @@ func (a *aggWorker) leapfrog(d int, match func() bool) {
 		}
 	}
 	k := len(iters)
-	sort.Slice(iters, func(i, j int) bool { return iters[i].it.Key() < iters[j].it.Key() })
+	sortByKey(iters)
 	p := 0
 	steps := 0
 	for {
-		// In a counting tail (match is just total++) this loop is the
-		// innermost work of the whole search and can walk an enormous
-		// intersection with no recursion underneath to poll; poll here
-		// so cancellation unwinds mid-level.
+		// A level whose matches all have tiny subtrees (memo hits,
+		// free-counted products) can walk an enormous intersection
+		// with few recursions underneath to poll; poll here so
+		// cancellation unwinds mid-level.
 		if steps++; steps&255 == 0 {
 			if a.stop != nil && a.stop.Load() {
 				a.aborted = true

@@ -9,15 +9,14 @@
 // measures as an ablation.
 //
 // With Options.Parallelism > 1 the depth-0 leapfrog is replaced by one
-// materialized top-level intersection that is sharded across worker
-// goroutines; each worker walks its chunk with private trie iterators
-// over the shared immutable tries, so results (and Stats totals) are
-// identical to the serial run.
+// materialized top-level intersection, cut into contiguous equal-work
+// morsels (core.Plan.TopMorsels) that worker goroutines search with
+// private trie iterators over the shared immutable tries, so results
+// (and Stats totals) are identical to the serial run.
 package lftj
 
 import (
 	"context"
-	"sort"
 	"sync/atomic"
 
 	"wcoj/internal/core"
@@ -105,9 +104,9 @@ func PlanCount(ctx context.Context, p *core.Plan, parallelism int) (int, *core.S
 		w.budget = core.BudgetFrom(ctx)
 		err = core.CtxAbortErr(ctx, w.rec(0))
 	} else {
-		vals := p.TopValues(nil)
+		vals, starts := p.TopMorsels(parallelism)
 		stats.Recursions++
-		n, err = core.RunShardedCount(ctx, vals, parallelism, stats, shardRun(p, core.BudgetFrom(ctx)))
+		n, err = core.RunShardedCount(ctx, vals, starts, parallelism, stats, shardRun(p, core.BudgetFrom(ctx)))
 	}
 	if err != nil {
 		return 0, nil, err
@@ -143,11 +142,11 @@ func PlanVisit(ctx context.Context, p *core.Plan, parallelism int, stats *core.S
 		w.budget = core.BudgetFrom(ctx)
 		return core.CtxAbortErr(ctx, w.rec(0))
 	}
-	vals := p.TopValues(nil)
+	vals, starts := p.TopMorsels(parallelism)
 	// Account for the root node exactly as the serial search does;
 	// per-value IntersectValues are counted by the workers.
 	stats.Recursions++
-	return core.RunShardedTop(ctx, vals, parallelism, len(p.Q.Vars), stats, emit, shardRun(p, core.BudgetFrom(ctx)))
+	return core.RunShardedTop(ctx, vals, starts, parallelism, len(p.Q.Vars), stats, emit, shardRun(p, core.BudgetFrom(ctx)))
 }
 
 // shardRun adapts the leapfrog search to the sharded runner: each
@@ -249,8 +248,7 @@ func (w *worker) rec(d int) error {
 		}
 	}
 	k := len(iters)
-	// Sort by current key (leapfrog invariant).
-	sort.Slice(iters, func(i, j int) bool { return iters[i].it.Key() < iters[j].it.Key() })
+	sortByKey(iters)
 	p := 0
 	for {
 		xmax := iters[(p+k-1)%k].it.Key()
@@ -273,6 +271,18 @@ func (w *worker) rec(d int) error {
 				return nil
 			}
 			p = (p + 1) % k
+		}
+	}
+}
+
+// sortByKey orders freshly opened iterators by current key, the
+// leapfrog invariant. An insertion sort: k is the number of atoms on
+// one level — single digits — and unlike sort.Slice it does not
+// allocate.
+func sortByKey(iters []*atomState) {
+	for i := 1; i < len(iters); i++ {
+		for j := i; j > 0 && iters[j].it.Key() < iters[j-1].it.Key(); j-- {
+			iters[j], iters[j-1] = iters[j-1], iters[j]
 		}
 	}
 }

@@ -380,3 +380,87 @@ func FuzzIntersectKernels(f *testing.F) {
 		}
 	})
 }
+
+// TestSegAtRow: every row maps to the segment whose row range holds
+// it, at every level (the deepest level's segments are the rows).
+func TestSegAtRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tr, err := Build(randomRelation(t, rng, "R", []string{"a", "b", "c"}, 400, 6), []string{"a", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < tr.Depth(); d++ {
+		for row := 0; row < tr.Len(); row++ {
+			s := tr.SegAtRow(d, row)
+			if lo, hi := tr.SegRows(d, s); row < lo || row >= hi {
+				t.Fatalf("level %d row %d: segment %d spans rows [%d,%d)", d, row, s, lo, hi)
+			}
+		}
+	}
+}
+
+// TestIteratorChildLevel: the range ChildLevel hands the kernels holds
+// exactly the keys Open would walk one level down, at the root and
+// under every value of every non-deepest level.
+func TestIteratorChildLevel(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	tr, err := Build(randomRelation(t, rng, "R", []string{"a", "b", "c"}, 300, 5), []string{"a", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := NewIterator(tr)
+	// check compares ChildLevel against the keys Open walks below the
+	// iterator's current position, then recurses into each of them.
+	var check func()
+	check = func() {
+		want := IntersectLevels(nil, []LevelRange{it.ChildLevel()})
+		var got []relation.Value
+		it.Open()
+		for ; !it.AtEnd(); it.Next() {
+			got = append(got, it.Key())
+			if it.Depth() < tr.Depth()-1 {
+				check()
+			}
+		}
+		it.Up()
+		if len(got) != len(want) {
+			t.Fatalf("depth %d: ChildLevel has %d keys, Open walks %d", it.Depth(), len(want), len(got))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("depth %d: key %d is %d, Open walks %d", it.Depth(), i, want[i], got[i])
+			}
+		}
+	}
+	check()
+}
+
+// TestIntersectKernelsDoNotAllocate: up to spanBuf participants the
+// span cursors live on the caller's stack, for narrowed and wide keys.
+func TestIntersectKernelsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, wide := range []bool{false, true} {
+		var ranges []LevelRange
+		for i := 0; i < spanBuf; i++ {
+			ks := sortedSet(rng, 200, 300)
+			if wide {
+				ranges = append(ranges, LevelRange{Keys: ks, Hi: len(ks)})
+			} else {
+				ranges = append(ranges, LevelRange{Keys32: toNarrow(ks), Hi: len(ks)})
+			}
+		}
+		for k := 1; k <= spanBuf; k++ {
+			rs := ranges[:k]
+			if a := testing.AllocsPerRun(20, func() { IntersectLevelsCount(rs) }); a != 0 {
+				t.Errorf("wide=%v k=%d: IntersectLevelsCount allocates %.0f times", wide, k, a)
+			}
+			if a := testing.AllocsPerRun(20, func() { IntersectLevelsAny(rs) }); a != 0 {
+				t.Errorf("wide=%v k=%d: IntersectLevelsAny allocates %.0f times", wide, k, a)
+			}
+			dst := make([]relation.Value, 0, 300)
+			if a := testing.AllocsPerRun(20, func() { IntersectLevels(dst[:0], rs) }); a != 0 {
+				t.Errorf("wide=%v k=%d: IntersectLevels allocates %.0f times", wide, k, a)
+			}
+		}
+	}
+}

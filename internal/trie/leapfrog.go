@@ -104,26 +104,33 @@ func widenRanges(ranges []LevelRange) []LevelRange {
 	return out
 }
 
-// toSpans64 rewraps the loaned Keys arenas as intersection cursors.
+// spanBuf is the stack capacity of the span conversions: level
+// intersections join a handful of atoms, so up to this many
+// participants the cursors live in the caller's frame and only wider
+// joins allocate.
+const spanBuf = 4
+
+// toSpans64 rewraps the loaned Keys arenas as intersection cursors,
+// appending to buf (a caller's stack array) so the common k <= spanBuf
+// case does not allocate.
 //
 //wcojlint:retains spans are cursors consumed within the same intersection call, under one snapshot
-func toSpans64(ranges []LevelRange) []span[relation.Value] {
-	spans := make([]span[relation.Value], len(ranges))
-	for i, r := range ranges {
-		spans[i] = span[relation.Value]{keys: r.Keys, lo: r.Lo, hi: r.Hi}
+func toSpans64(buf []span[relation.Value], ranges []LevelRange) []span[relation.Value] {
+	for _, r := range ranges {
+		buf = append(buf, span[relation.Value]{keys: r.Keys, lo: r.Lo, hi: r.Hi})
 	}
-	return spans
+	return buf
 }
 
-// toSpans32 rewraps the loaned Keys32 arenas as intersection cursors.
+// toSpans32 rewraps the loaned Keys32 arenas as intersection cursors,
+// appending to buf like toSpans64.
 //
 //wcojlint:retains spans are cursors consumed within the same intersection call, under one snapshot
-func toSpans32(ranges []LevelRange) []span[uint32] {
-	spans := make([]span[uint32], len(ranges))
-	for i, r := range ranges {
-		spans[i] = span[uint32]{keys: r.Keys32, lo: r.Lo, hi: r.Hi}
+func toSpans32(buf []span[uint32], ranges []LevelRange) []span[uint32] {
+	for _, r := range ranges {
+		buf = append(buf, span[uint32]{keys: r.Keys32, lo: r.Lo, hi: r.Hi})
 	}
-	return spans
+	return buf
 }
 
 // IntersectLevels computes the sorted values common to all level
@@ -147,9 +154,11 @@ func IntersectLevels(dst []relation.Value, ranges []LevelRange) []relation.Value
 		return IntersectLevels(dst, widenRanges(ranges))
 	}
 	if ranges[0].Keys32 != nil {
-		return intersectSpans(dst, toSpans32(ranges))
+		var buf [spanBuf]span[uint32]
+		return intersectSpans(dst, toSpans32(buf[:0], ranges))
 	}
-	return intersectSpans(dst, toSpans64(ranges))
+	var buf [spanBuf]span[relation.Value]
+	return intersectSpans(dst, toSpans64(buf[:0], ranges))
 }
 
 // IntersectLevelsCount returns the size of the multiway intersection
@@ -170,9 +179,11 @@ func IntersectLevelsCount(ranges []LevelRange) int {
 		return IntersectLevelsCount(widenRanges(ranges))
 	}
 	if ranges[0].Keys32 != nil {
-		return countSpans(toSpans32(ranges))
+		var buf [spanBuf]span[uint32]
+		return countSpans(toSpans32(buf[:0], ranges))
 	}
-	return countSpans(toSpans64(ranges))
+	var buf [spanBuf]span[relation.Value]
+	return countSpans(toSpans64(buf[:0], ranges))
 }
 
 // IntersectLevelsAny reports whether the multiway intersection is
@@ -195,9 +206,11 @@ func IntersectLevelsAny(ranges []LevelRange) bool {
 		return IntersectLevelsAny(widenRanges(ranges))
 	}
 	if ranges[0].Keys32 != nil {
-		return anySpans(toSpans32(ranges))
+		var buf [spanBuf]span[uint32]
+		return anySpans(toSpans32(buf[:0], ranges))
 	}
-	return anySpans(toSpans64(ranges))
+	var buf [spanBuf]span[relation.Value]
+	return anySpans(toSpans64(buf[:0], ranges))
 }
 
 // intersectSpans materializes the intersection; all spans are

@@ -288,6 +288,17 @@ func (t *Trie) SegRows(d, s int) (lo, hi int) {
 	return int(rs[s]), int(rs[s+1])
 }
 
+// SegAtRow returns the level-d segment whose row range holds row, a
+// binary search over the level's row offsets (deepest-level segments
+// are rows). row must lie in [0, Len()).
+func (t *Trie) SegAtRow(d, row int) int {
+	if d == len(t.cols)-1 {
+		return row
+	}
+	rs := t.rowStart[d]
+	return sort.Search(t.segs[d], func(s int) bool { return int(rs[s+1]) > row })
+}
+
 // Children returns the segment index range [lo,hi) of level-d segment
 // s's children at level d+1.
 func (t *Trie) Children(d, s int) (lo, hi int) {
@@ -476,6 +487,23 @@ func (it *Iterator) Seek(v relation.Value) {
 func (it *Iterator) CurrentRange() (lo, hi int) {
 	d := it.depth
 	return it.t.SegRows(d, it.seg[d])
+}
+
+// ChildLevel returns the intersection view of the level below the
+// cursor: the current value's children span, or the whole of level 0
+// at the root. The counting and existence tails of a leapfrog search
+// hand these straight to IntersectLevelsCount/Any instead of walking
+// the level with Key/Next/Seek. The current level must not be at end
+// or the deepest.
+//
+//wcojlint:retains the range is a cursor view consumed by the caller's intersection, under one pinned snapshot
+func (it *Iterator) ChildLevel() LevelRange {
+	d := it.depth
+	if d < 0 {
+		return it.t.SegLevel(0, 0, it.t.segs[0])
+	}
+	lo, hi := it.t.Children(d, it.seg[d])
+	return it.t.SegLevel(d+1, lo, hi)
 }
 
 // RangeAt returns the row range [lo,hi) of the current value at an

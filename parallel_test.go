@@ -7,6 +7,7 @@ package wcoj
 // with -race: the engine must be free of shared mutable state.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -70,6 +71,18 @@ func parallelQueries(t testing.TB) map[string]*Query {
 		t.Fatal(err)
 	}
 	qs["4cycle"] = q
+
+	// Power-law triangle: the Zipf hubs sit next to each other at the
+	// bottom of the sorted depth-0 values, so Plan.TopMorsels cuts
+	// them into morsels of their own at every worker count.
+	e = dataset.PowerLawGraph(2000, 8000, 1.3, 5)
+	db = NewDatabase()
+	db.Put(e)
+	q, err = MustParse("Q(A,B,C) :- E(A,B), E(B,C), E(A,C)").Bind(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs["triangle-powerlaw"] = q
 
 	// Empty join: two disjoint edge sets share no B value, so the
 	// depth-0 intersection under order B-first can be empty and the
@@ -203,6 +216,45 @@ func TestExecuteFuncEmitError(t *testing.T) {
 			}
 			if seen != 3 {
 				t.Fatalf("%v/p=%d: emit called %d times after error", algo, p, seen)
+			}
+		}
+	}
+}
+
+// TestExecuteFuncCancelMidRun cancels the run's context from inside
+// emit, on the first tuple, for every query, engine and worker count.
+// The run must either report context.Canceled or — when the serial
+// search finished before its watcher saw the cancellation — return
+// the complete output; never a truncated success or the internal
+// abort sentinel.
+func TestExecuteFuncCancelMidRun(t *testing.T) {
+	for name, q := range parallelQueries(t) {
+		for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
+			want, _, err := Count(q, Options{Algorithm: algo, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == 0 {
+				continue
+			}
+			for _, p := range parallelisms {
+				t.Run(fmt.Sprintf("%s/%v/p=%d", name, algo, p), func(t *testing.T) {
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					seen := 0
+					_, err := ExecuteFunc(q, Options{Algorithm: algo, Parallelism: p, Context: ctx}, func(Tuple) error {
+						seen++
+						cancel()
+						return nil
+					})
+					switch {
+					case errors.Is(err, context.Canceled):
+					case err != nil:
+						t.Fatalf("err = %v, want context.Canceled", err)
+					case seen != want:
+						t.Fatalf("nil error after %d of %d tuples", seen, want)
+					}
+				})
 			}
 		}
 	}
