@@ -19,7 +19,6 @@ import (
 	"wcoj/internal/dataset"
 	"wcoj/internal/entropy"
 	"wcoj/internal/hypergraph"
-	"wcoj/internal/lftj"
 	"wcoj/internal/panda"
 	"wcoj/internal/relation"
 	"wcoj/internal/trie"
@@ -127,7 +126,7 @@ func BenchmarkTriangle(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("%s/n=%d/lftj", kind, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, err := lftj.Count(q, lftj.Options{Order: []string{"A", "B", "C"}}); err != nil {
+					if _, _, err := Count(q, Options{Algorithm: AlgoLeapfrog, DisablePushdown: true, Order: []string{"A", "B", "C"}, Parallelism: 1}); err != nil {
 						b.Fatal(err)
 					}
 				}

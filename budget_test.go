@@ -106,10 +106,10 @@ func TestNodeBudgetProjection(t *testing.T) {
 	}
 }
 
-// TestNodeBudgetLFTJTail: a leapfrog count whose work is all in the
-// counting tail — one A value, then a 100k-value B intersection the
-// kernel counts without recursing — must still be cut off by a tiny
-// budget: the tail charges its matches.
+// TestNodeBudgetLFTJTail: a count whose work is all in the counting
+// tail — one A value, then a 100k-value B intersection the kernel
+// counts without recursing — must still be cut off by a tiny budget
+// under either walk: the tail charges its matches.
 func TestNodeBudgetLFTJTail(t *testing.T) {
 	db := NewDB()
 	for _, name := range []string{"R", "S"} {
@@ -125,19 +125,23 @@ func TestNodeBudgetLFTJTail(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
-			pq, err := db.Prepare("Q(A,B) :- R(A,B), S(A,B)", Options{Algorithm: AlgoLeapfrog, Parallelism: par, Order: []string{"A", "B"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := pq.Count(WithNodeBudget(context.Background(), 1000)); !errors.Is(err, ErrNodeBudget) {
-				t.Fatalf("tail count under tiny budget: err=%v, want ErrNodeBudget", err)
-			}
-			if _, _, err := pq.Exists(WithNodeBudget(context.Background(), 1000)); err != nil {
-				t.Fatalf("exists under tiny budget: %v", err)
-			}
-			n, _, err := pq.Count(WithNodeBudget(context.Background(), 1<<20))
-			if err != nil || n != 100000 {
-				t.Fatalf("tail count under big budget: n=%d err=%v, want 100000", n, err)
+			for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
+				t.Run(algo.String(), func(t *testing.T) {
+					pq, err := db.Prepare("Q(A,B) :- R(A,B), S(A,B)", Options{Algorithm: algo, Parallelism: par, Order: []string{"A", "B"}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, _, err := pq.Count(WithNodeBudget(context.Background(), 1000)); !errors.Is(err, ErrNodeBudget) {
+						t.Fatalf("tail count under tiny budget: err=%v, want ErrNodeBudget", err)
+					}
+					if _, _, err := pq.Exists(WithNodeBudget(context.Background(), 1000)); err != nil {
+						t.Fatalf("exists under tiny budget: %v", err)
+					}
+					n, _, err := pq.Count(WithNodeBudget(context.Background(), 1<<20))
+					if err != nil || n != 100000 {
+						t.Fatalf("tail count under big budget: n=%d err=%v, want 100000", n, err)
+					}
+				})
 			}
 		})
 	}

@@ -40,7 +40,6 @@ import (
 	"wcoj/internal/dataset"
 	"wcoj/internal/entropy"
 	"wcoj/internal/hypergraph"
-	"wcoj/internal/lftj"
 	"wcoj/internal/panda"
 	"wcoj/internal/relation"
 	"wcoj/internal/stats"
@@ -296,7 +295,7 @@ func triangle(scale int) error {
 				return c
 			})
 			tLF, _ := timeIt(func() int {
-				c, _, err := lftj.Count(q, lftj.Options{Order: []string{"A", "B", "C"}})
+				c, _, err := wcoj.Count(q, wcoj.Options{Algorithm: wcoj.AlgoLeapfrog, DisablePushdown: true, Order: []string{"A", "B", "C"}, Parallelism: 1})
 				if err != nil {
 					panic(err)
 				}

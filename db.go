@@ -35,7 +35,6 @@ import (
 	"wcoj/internal/agg"
 	"wcoj/internal/core"
 	"wcoj/internal/delta"
-	"wcoj/internal/lftj"
 	"wcoj/internal/planner"
 	"wcoj/internal/query"
 	"wcoj/internal/relation"
@@ -911,17 +910,10 @@ func (pq *PreparedQuery) visit(ctx context.Context, s *pqState, stats *Stats, em
 	if err != nil {
 		return err
 	}
-	workers := pq.opts.workers()
-	switch {
-	case cls != nil && pq.opts.Algorithm == AlgoLeapfrog:
-		return lftj.ProjectVisitPlan(ctx, p, cls, workers, stats, emit)
-	case cls != nil:
-		return core.GenericJoinProjectVisitPlan(ctx, p, cls, workers, stats, emit)
-	case pq.opts.Algorithm == AlgoLeapfrog:
-		return lftj.PlanVisit(ctx, p, workers, stats, emit)
-	default:
-		return core.GenericJoinPlanVisit(ctx, p, workers, stats, emit)
+	if cls != nil {
+		return core.ProjectVisit(ctx, p, cls, pq.opts.Algorithm.walk(), pq.opts.workers(), stats, emit)
 	}
+	return core.Visit(ctx, p, pq.opts.Algorithm.walk(), pq.opts.workers(), stats, emit)
 }
 
 // Count returns the prepared query's output cardinality (distinct
@@ -949,13 +941,7 @@ func (pq *PreparedQuery) Count(ctx context.Context) (int, *Stats, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	var n int
-	var stats *Stats
-	if pq.opts.Algorithm == AlgoLeapfrog {
-		n, stats, err = lftj.PlanCount(ctx, p, pq.opts.workers())
-	} else {
-		n, stats, err = core.GenericJoinPlanCount(ctx, p, pq.opts.workers())
-	}
+	n, stats, err := core.Count(ctx, p, pq.opts.Algorithm.walk(), pq.opts.workers())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -993,13 +979,7 @@ func (pq *PreparedQuery) countPushdown(ctx context.Context) (int, *Stats, error)
 	if err != nil {
 		return 0, nil, err
 	}
-	var n int64
-	var stats *Stats
-	if pq.opts.Algorithm == AlgoLeapfrog {
-		n, stats, err = lftj.AggPlan(ctx, p, cls, pq.opts.workers())
-	} else {
-		n, stats, err = core.GenericJoinAggPlan(ctx, p, cls, pq.opts.workers())
-	}
+	n, stats, err := core.Aggregate(ctx, p, cls, pq.opts.Algorithm.walk(), pq.opts.workers())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1022,13 +1002,7 @@ func (pq *PreparedQuery) Exists(ctx context.Context) (bool, *Stats, error) {
 	if err != nil {
 		return false, nil, err
 	}
-	var n int64
-	var stats *Stats
-	if pq.opts.Algorithm == AlgoLeapfrog {
-		n, stats, err = lftj.AggPlan(ctx, p, cls, pq.opts.workers())
-	} else {
-		n, stats, err = core.GenericJoinAggPlan(ctx, p, cls, pq.opts.workers())
-	}
+	n, stats, err := core.Aggregate(ctx, p, cls, pq.opts.Algorithm.walk(), pq.opts.workers())
 	if err != nil {
 		return false, nil, err
 	}

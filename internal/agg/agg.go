@@ -32,8 +32,8 @@
 // workload never revisits a range signature.
 //
 // The package is engine-agnostic: it knows variable orders and atom
-// schemas, not tries or iterators. The engines (internal/core,
-// internal/lftj) drive their own recursions and consult the
+// schemas, not tries or cursors. The search of internal/core drives
+// the recursion, under either level walk, and consults the
 // Classification and Memo.
 package agg
 

@@ -1,13 +1,12 @@
 package core
 
-// Parallel sharded execution. Both Generic-Join and Leapfrog Triejoin
-// (via this package's exported runner) parallelize the same way: the
-// depth-0 intersection — the distinct values of the first variable in
-// the global order that appear in every participating atom — is
-// computed once and cut into contiguous equal-work morsels
-// (Plan.TopMorsels), and each morsel is searched by the existing
-// serial recursion with fully private state (range stacks /
-// iterators, binding tuple, Stats). Workers share only the immutable
+// Parallel sharded execution. The search parallelizes the same way
+// under either walk: the depth-0 intersection — the distinct values of
+// the first variable in the global order that appear in every
+// participating atom — is computed once and cut into contiguous
+// equal-work morsels (Plan.TopMorsels), and each morsel is searched by
+// the existing serial recursion with fully private state (level
+// cursors, binding tuple, Stats). Workers share only the immutable
 // tries. Morsel results are consumed in ascending morsel index order,
 // and because morsels are contiguous ranges of the sorted top-level
 // values, the emitted tuple sequence is byte-identical to the serial
@@ -265,27 +264,6 @@ func (s *countSink) finishChunk(chunk int) error {
 	return nil
 }
 
-// RunShardedTop is the sharding seam exported for sibling algorithm
-// packages (lftj): it runs run over the morsels of vals (starts as
-// returned by Plan.TopMorsels) on up to workers goroutines, each
-// morsel with a private Stats, and streams the buffered per-morsel
-// tuples to emit in morsel order. Arity is the emitted tuple width.
-func RunShardedTop(ctx context.Context, vals []relation.Value, starts []int, workers, arity int, parentStats *Stats,
-	emit func(relation.Tuple) error, run shardRun) error {
-	return runSharded(ctx, vals, starts, workers, parentStats, run, newBufferSink(arity, emit))
-}
-
-// RunShardedCount is RunShardedTop's counting twin: no tuple is
-// buffered; per-morsel counts are summed in morsel order.
-func RunShardedCount(ctx context.Context, vals []relation.Value, starts []int, workers int, parentStats *Stats,
-	run shardRun) (int, error) {
-	sink := newCountSink()
-	if err := runSharded(ctx, vals, starts, workers, parentStats, run, sink); err != nil {
-		return 0, err
-	}
-	return sink.total, nil
-}
-
 // morselCount returns the number of morsels starts describes and the
 // worker count clamped to it.
 func morselCount(starts []int, workers int) (numChunks, w int) {
@@ -344,13 +322,13 @@ func (p *Plan) TopMorsels(workers int) (vals []relation.Value, starts []int) {
 	return vals, append(starts, n)
 }
 
-// RunShardedSum runs run over the morsels of vals (starts as returned
-// by Plan.TopMorsels) and sums the per-morsel int64 results. Unlike the tuple-emitting runners no output
-// ordering is needed, so chunks are claimed from an atomic counter;
-// per-chunk Stats are still merged in chunk order, keeping counter
-// totals deterministic for a fixed worker count. The aggregate-aware
-// engines use it for sharded CountFast.
-func RunShardedSum(ctx context.Context, vals []relation.Value, starts []int, workers int, parentStats *Stats,
+// runShardedSum runs run over the morsels of vals (starts as returned
+// by Plan.TopMorsels) and sums the per-morsel int64 results. Unlike
+// the tuple-emitting runner no output ordering is needed, so chunks
+// are claimed from an atomic counter; per-chunk Stats are still merged
+// in chunk order, keeping counter totals deterministic for a fixed
+// worker count. The aggregate count uses it.
+func runShardedSum(ctx context.Context, vals []relation.Value, starts []int, workers int, parentStats *Stats,
 	run func(chunk []relation.Value, st *Stats, stop *atomic.Bool) (int64, error)) (int64, error) {
 	if err := CtxErr(ctx); err != nil {
 		return 0, err
@@ -407,14 +385,15 @@ func RunShardedSum(ctx context.Context, vals []relation.Value, starts []int, wor
 	return total, nil
 }
 
-// RunShardedAny runs run over the morsels of vals (starts as returned
-// by Plan.TopMorsels) and reports whether any morsel found a witness. The shared stop flag is set as soon as one
+// runShardedAny runs run over the morsels of vals (starts as returned
+// by Plan.TopMorsels) and reports whether any morsel found a witness.
+// The shared stop flag is set as soon as one
 // does (or a chunk errors); chunk searches are expected to poll it and
 // unwind, so the whole fleet short-circuits on the first witness.
 // Stats are merged from every chunk that ran; because chunks race the
 // stop flag, counter totals (unlike the boolean result) are not
 // deterministic across runs.
-func RunShardedAny(ctx context.Context, vals []relation.Value, starts []int, workers int, parentStats *Stats,
+func runShardedAny(ctx context.Context, vals []relation.Value, starts []int, workers int, parentStats *Stats,
 	run func(chunk []relation.Value, st *Stats, stop *atomic.Bool) (bool, error)) (bool, error) {
 	if err := CtxErr(ctx); err != nil {
 		return false, err

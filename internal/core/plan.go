@@ -42,12 +42,12 @@ func ExplicitOrder(order []string) OrderPolicy {
 	})
 }
 
-// Plan is the immutable execution plan Generic-Join and Leapfrog
-// Triejoin share: the global variable order, one trie per atom built
-// in that order, the per-depth participant lists and the mapping from
-// search depth to output position. A Plan is built once per query and
-// read concurrently by every worker goroutine; all mutable search
-// state lives in the per-worker structs of the engine packages.
+// Plan is the immutable execution plan of the search under either
+// walk: the global variable order, one trie per atom built in that
+// order, the per-depth participant lists and the mapping from search
+// depth to output position. A Plan is built once per query and read
+// concurrently by every worker goroutine; all mutable search state
+// lives in the per-worker cursors of search.go.
 type Plan struct {
 	Q     *Query
 	Order []string

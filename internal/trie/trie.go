@@ -339,9 +339,9 @@ func (t *Trie) FindSegFrom(d, from, hi int, v relation.Value) (int, bool) {
 	return s, s < hi && ks[s] == v
 }
 
-// seekSeg returns the first segment in [from,hi) with key >= v,
+// SeekSeg returns the first segment in [from,hi) with key >= v,
 // galloping from the current position (the leapfrog seek pattern).
-func (t *Trie) seekSeg(d, from, hi int, v relation.Value) int {
+func (t *Trie) SeekSeg(d, from, hi int, v relation.Value) int {
 	if t.keys32 != nil {
 		if v < 0 {
 			return from
@@ -475,7 +475,7 @@ func (it *Iterator) Seek(v relation.Value) {
 	if it.atEnd[d] {
 		return
 	}
-	it.seg[d] = it.t.seekSeg(d, it.seg[d], it.end[d], v)
+	it.seg[d] = it.t.SeekSeg(d, it.seg[d], it.end[d], v)
 	if it.seg[d] >= it.end[d] {
 		it.atEnd[d] = true
 	}
@@ -491,10 +491,9 @@ func (it *Iterator) CurrentRange() (lo, hi int) {
 
 // ChildLevel returns the intersection view of the level below the
 // cursor: the current value's children span, or the whole of level 0
-// at the root. The counting and existence tails of a leapfrog search
-// hand these straight to IntersectLevelsCount/Any instead of walking
-// the level with Key/Next/Seek. The current level must not be at end
-// or the deepest.
+// at the root, ready for IntersectLevels and its counting and
+// existence twins. The current level must not be at end or the
+// deepest.
 //
 //wcojlint:retains the range is a cursor view consumed by the caller's intersection, under one pinned snapshot
 func (it *Iterator) ChildLevel() LevelRange {
@@ -504,13 +503,4 @@ func (it *Iterator) ChildLevel() LevelRange {
 	}
 	lo, hi := it.t.Children(d, it.seg[d])
 	return it.t.SegLevel(d+1, lo, hi)
-}
-
-// RangeAt returns the row range [lo,hi) of the current value at an
-// already-open level, independent of the iterator's current depth.
-// Levels above the current one keep their segments while deeper levels
-// are explored, so aggregate operators read a parent's bound range
-// through RangeAt while the leapfrog loop is mid-flight below it.
-func (it *Iterator) RangeAt(level int) (lo, hi int) {
-	return it.t.SegRows(level, it.seg[level])
 }

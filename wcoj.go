@@ -49,7 +49,6 @@ import (
 	"wcoj/internal/constraints"
 	"wcoj/internal/core"
 	"wcoj/internal/hypergraph"
-	"wcoj/internal/lftj"
 	"wcoj/internal/planner"
 	"wcoj/internal/query"
 	"wcoj/internal/relation"
@@ -167,7 +166,8 @@ const (
 	// AlgoGenericJoin is Generic-Join [52] (default): recursive
 	// multiway intersection, Õ(N^{ρ*}).
 	AlgoGenericJoin Algorithm = iota
-	// AlgoLeapfrog is Leapfrog Triejoin [66]: iterator-based, Õ(N^{ρ*}).
+	// AlgoLeapfrog is Leapfrog Triejoin [66]: the same search walking
+	// each level's cursors in lockstep, Õ(N^{ρ*}).
 	AlgoLeapfrog
 	// AlgoBacktracking is Algorithm 3: worst-case optimal under
 	// acyclic degree constraints (supply Options.Constraints).
@@ -402,6 +402,44 @@ func (o Options) validateProject(q *Query) error {
 	return nil
 }
 
+// walk maps a WCOJ algorithm to the level walk of the core search: the
+// one place AlgoLeapfrog selects Leapfrog Triejoin.
+func (a Algorithm) walk() core.Walk {
+	if a == AlgoLeapfrog {
+		return core.WalkLeapfrog
+	}
+	return core.WalkGeneric
+}
+
+// searchPlan resolves the order policy and builds the WCOJ search plan
+// over the process-global trie store.
+func (o Options) searchPlan(q *Query) (*core.Plan, error) {
+	pol, err := o.orderPolicy()
+	if err != nil {
+		return nil, err
+	}
+	return core.BuildPlanWith(q, pol)
+}
+
+// aggPlan resolves the spec's order policy and builds the sunk,
+// classified aggregate plan over the process-global trie store.
+func (o Options) aggPlan(q *Query, spec agg.Spec) (*core.Plan, *agg.Classification, error) {
+	pol, err := o.orderPolicyFor(&spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return core.AggPlan(q, pol, spec)
+}
+
+// aggregate runs the one-shot aggregate search for spec.
+func (o Options) aggregate(q *Query, spec agg.Spec) (int64, *Stats, error) {
+	p, cls, err := o.aggPlan(q, spec)
+	if err != nil {
+		return 0, nil, err
+	}
+	return core.Aggregate(o.Context, p, cls, o.Algorithm.walk(), o.workers())
+}
+
 // validatePlanner rejects planner settings the selected algorithm
 // cannot honor: only the trie-based WCOJ engines consult the planner.
 func (o Options) validatePlanner() error {
@@ -432,18 +470,12 @@ func Execute(q *Query, opts Options) (*Relation, *Stats, error) {
 		return executeProjected(q, opts)
 	}
 	switch opts.Algorithm {
-	case AlgoGenericJoin:
-		pol, err := opts.orderPolicy()
+	case AlgoGenericJoin, AlgoLeapfrog:
+		p, err := opts.searchPlan(q)
 		if err != nil {
 			return nil, nil, err
 		}
-		return core.GenericJoin(q, core.GenericJoinOptions{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context})
-	case AlgoLeapfrog:
-		pol, err := opts.orderPolicy()
-		if err != nil {
-			return nil, nil, err
-		}
-		return lftj.Join(q, lftj.Options{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context})
+		return core.Join(opts.Context, p, opts.Algorithm.walk(), opts.workers())
 	case AlgoBacktracking:
 		dc, err := backtrackConstraints(q, opts.Constraints)
 		if err != nil {
@@ -491,15 +523,11 @@ func executeProjected(q *Query, opts Options) (*Relation, *Stats, error) {
 
 // projectVisit streams the projected enumeration of the WCOJ engines.
 func projectVisit(q *Query, opts Options, stats *Stats, emit func(Tuple) error) error {
-	spec := agg.Spec{Mode: agg.ModeEnumerate, Project: opts.Project}
-	pol, err := opts.orderPolicyFor(&spec)
+	p, cls, err := opts.aggPlan(q, agg.Spec{Mode: agg.ModeEnumerate, Project: opts.Project})
 	if err != nil {
 		return err
 	}
-	if opts.Algorithm == AlgoLeapfrog {
-		return lftj.ProjectVisit(q, lftj.Options{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, opts.Project, stats, emit)
-	}
-	return core.GenericJoinProjectVisit(q, core.GenericJoinOptions{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, opts.Project, stats, emit)
+	return core.ProjectVisit(opts.Context, p, cls, opts.Algorithm.walk(), opts.workers(), stats, emit)
 }
 
 // ExecuteFunc evaluates the query, streaming each result tuple to emit
@@ -547,26 +575,13 @@ func ExecuteFunc(q *Query, opts Options, emit func(Tuple) error) (*Stats, error)
 	}
 	stats := &Stats{}
 	switch opts.Algorithm {
-	case AlgoGenericJoin:
-		pol, err := opts.orderPolicy()
+	case AlgoGenericJoin, AlgoLeapfrog:
+		p, err := opts.searchPlan(q)
 		if err != nil {
 			return nil, err
 		}
 		n := 0
-		err = core.GenericJoinVisit(q, core.GenericJoinOptions{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, stats,
-			func(t Tuple) error { n++; return emit(t) })
-		if err != nil {
-			return nil, err
-		}
-		stats.Output = n
-		return stats, nil
-	case AlgoLeapfrog:
-		pol, err := opts.orderPolicy()
-		if err != nil {
-			return nil, err
-		}
-		n := 0
-		err = lftj.Visit(q, lftj.Options{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, stats,
+		err = core.Visit(opts.Context, p, opts.Algorithm.walk(), opts.workers(), stats,
 			func(t Tuple) error { n++; return emit(t) })
 		if err != nil {
 			return nil, err
@@ -643,32 +658,14 @@ func Count(q *Query, opts Options) (int, *Stats, error) {
 		// Distinct projected counting is inherently aggregate-aware,
 		// so DisablePushdown only governs the multiplicity count.
 		if opts.Project == nil && opts.DisablePushdown {
-			pol, err := opts.orderPolicy()
+			p, err := opts.searchPlan(q)
 			if err != nil {
 				return 0, nil, err
 			}
-			if opts.Algorithm == AlgoLeapfrog {
-				return lftj.Count(q, lftj.Options{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context})
-			}
-			return core.GenericJoinCount(q, core.GenericJoinOptions{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context})
+			return core.Count(opts.Context, p, opts.Algorithm.walk(), opts.workers())
 		}
-		spec := agg.Spec{Mode: agg.ModeCount, Project: opts.Project}
-		pol, err := opts.orderPolicyFor(&spec)
-		if err != nil {
-			return 0, nil, err
-		}
-		if opts.Algorithm == AlgoLeapfrog {
-			n, stats, err := lftj.Agg(q, lftj.Options{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, spec)
-			if err != nil {
-				return 0, nil, err
-			}
-			return int(n), stats, nil
-		}
-		n, stats, err := core.GenericJoinAgg(q, core.GenericJoinOptions{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, spec)
-		if err != nil {
-			return 0, nil, err
-		}
-		return int(n), stats, nil
+		n, stats, err := opts.aggregate(q, agg.Spec{Mode: agg.ModeCount, Project: opts.Project})
+		return int(n), stats, err
 	case AlgoBacktracking:
 		if opts.Project != nil {
 			out, stats, err := Execute(q, opts)
@@ -727,21 +724,9 @@ func Exists(q *Query, opts Options) (bool, *Stats, error) {
 	if err := core.CtxErr(opts.Context); err != nil {
 		return false, nil, err
 	}
-	spec := agg.Spec{Mode: agg.ModeExists}
 	switch opts.Algorithm {
-	case AlgoGenericJoin:
-		pol, err := opts.orderPolicyFor(&spec)
-		if err != nil {
-			return false, nil, err
-		}
-		n, stats, err := core.GenericJoinAgg(q, core.GenericJoinOptions{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, spec)
-		return n != 0, stats, err
-	case AlgoLeapfrog:
-		pol, err := opts.orderPolicyFor(&spec)
-		if err != nil {
-			return false, nil, err
-		}
-		n, stats, err := lftj.Agg(q, lftj.Options{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, spec)
+	case AlgoGenericJoin, AlgoLeapfrog:
+		n, stats, err := opts.aggregate(q, agg.Spec{Mode: agg.ModeExists})
 		return n != 0, stats, err
 	default:
 		full := opts
